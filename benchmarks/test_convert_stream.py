@@ -6,25 +6,28 @@ sliced load pulls only each rank's partition bytes.  This benchmark
 sweeps fig2-style interchange points (including the TP-degree change
 the CI ``convert-perf`` job gates on) and records, per point:
 
-* streamed vs full-read conversion — wall time, source bytes read,
-  atom bytes written, cache hits (digest pass pre-warming extract);
+* streamed conversion vs the whole-file reference conversion
+  (``tests.helpers.full_read_convert``) — wall time, source bytes
+  read, atom bytes written, cache hits (digest pass pre-warming
+  extract);
 * sliced vs whole-atom loading — UCP bytes read per target engine;
 * the CI gate fraction: a single target rank's sliced read over the
   checkpoint's total state bytes (must stay under 0.5 for the
   TP-degree-change row).
 
-Byte identity between the two conversion paths is asserted on every
-row — the speedup is never allowed to change a single output byte.
+Byte identity with the reference conversion is asserted on every row —
+the speedup is never allowed to change a single output byte.
 """
 
 import time
 
-from repro.core.convert import ucp_convert
+from repro.core.convert import CONVERT_SOURCE_FILE, ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
 from repro.storage.store import ObjectStore
 
 from bench_util import make_engine, record_result
+from tests.helpers import full_read_convert
 
 # (label, model, source parallel, target parallel)
 SWEEP = [
@@ -52,8 +55,13 @@ GATE_MAX_FRACTION = 0.5
 
 
 def _dir_digests(path):
+    """Output digests, minus the resume marker only ucp_convert writes."""
     store = ObjectStore(path)
-    return {rel: store.digest(rel) for rel in store.list(".")}
+    return {
+        rel: store.digest(rel)
+        for rel in store.list(".")
+        if rel != CONVERT_SOURCE_FILE
+    }
 
 
 def _tag_bytes(store, tag):
@@ -85,7 +93,7 @@ def test_bench_convert_stream(benchmark, tmp_path):
 
         full_dir = str(tmp_path / f"{label}-full".replace(">", ""))
         start = time.perf_counter()
-        full = ucp_convert(ckpt, full_dir, streaming=False)
+        full = full_read_convert(ckpt, full_dir)
         full_s = time.perf_counter() - start
 
         # the optimization must be byte-invisible in the output
@@ -165,20 +173,20 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "streamed_planned_state_bytes": "state bytes the "
                     "lowered read plans actually need — the conversion "
                     "analogue of the sliced-load claim",
-                "full_bytes_read": "source bytes the full-read path "
-                    "read (every optimizer rank file, whole; "
-                    "model_states are skipped by both paths)",
+                "full_bytes_read": "source bytes the whole-file "
+                    "reference conversion read (every optimizer rank "
+                    "file, whole; model_states are skipped by both)",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "
                     "target rank's sliced UCP read over the "
                     "checkpoint's state bytes — about loading the "
                     "converted checkpoint, not about conversion reads",
             },
             "note": "streamed conversion is digest-identical to the "
-                    "full-read path on every row; conversion reads "
+                    "whole-file reference on every row; conversion reads "
                     "exclude model_states files, and the 0.25x gate "
                     "fraction is a sliced-load (per_rank_read_fraction) "
                     "claim — conversion-byte totals are near-parity "
-                    "because both paths read whole optimizer files "
+                    "because both read whole optimizer files "
                     "(streamed for digest verification)",
         },
     )

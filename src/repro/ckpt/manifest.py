@@ -144,8 +144,8 @@ def verify_streaming(reader, rel_path: str, entry: Optional[Dict]) -> None:
     check: the file is hashed in window-sized chunks through a
     :class:`~repro.storage.rangeio.RangeReader`, so the whole object is
     never materialized and the verified blocks stay in the reader's
-    shared cache for the consumer (extract, sliced load) to reuse —
-    fixing the verify-then-reread double IO of the full-read path.
+    shared cache for the consumer (extract, sliced load) to reuse, so
+    verification costs no second read of the same bytes.
 
     Raises:
         FileNotFoundError: no object at the path.

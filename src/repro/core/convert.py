@@ -2,31 +2,24 @@
 
 The converter runs lazily and on demand — only when a resume needs a
 different parallelism strategy — so normal training pays nothing for
-UCP (the paper's zero-save-overhead claim).  Phases:
+UCP (the paper's zero-save-overhead claim).  Algorithm 1's phases —
+**Extract** each parameter's fragments from the ``optim_states`` rank
+files, **Union** them by the parameter's pattern from the UCP language
+program, **StripPadding** and write one atom per parameter, plus global
+metadata — run fused per parameter over one worker fan-out (the
+paper's parallelism/memory trade-off).
 
-1. **Extract** every ``optim_states`` rank file into parameter-state
-   fragments (independent per file; optionally threaded).
-2. **Union** each parameter's fragments by its pattern from the UCP
-   language program (independent per parameter; optionally threaded —
-   the paper's parallelism/memory trade-off).
-3. **StripPadding** and write one atom per parameter, plus global
-   metadata.
-
-Two execution strategies implement the same semantics:
-
-* the **full-read** path materializes every rank file and runs the
-  in-memory ``extract``/``union`` operators;
-* the **streaming** path (default whenever the byte-provenance
-  pre-flight proves the source sound) never materializes a rank file.
-  The provenance interval maps are lowered into per-parameter *read
-  plans* — exact ``(file, byte-range) -> consolidated range`` preads —
-  executed over a shared :class:`~repro.storage.rangeio.RangeReader`
-  with adjacent-range coalescing and a bounded block cache.  Manifest
-  digests are verified by *streaming* each consumed file once in
-  window-sized chunks that pre-warm the very blocks extract reads
-  next, so each source byte is read from disk at most once; per-atom
-  results are written as soon as they consolidate, keeping in-flight
-  memory bounded by the worker count instead of the checkpoint size.
+No rank file is ever materialized.  The pipeline is gated on the
+byte-provenance pre-flight: the interval maps it proves sound
+(UCP017-UCP022) are lowered into per-parameter *read plans* — exact
+``(file, byte-range) -> consolidated range`` preads — executed over a
+shared :class:`~repro.storage.rangeio.RangeReader` with adjacent-range
+coalescing and a bounded block cache.  Manifest digests are verified by
+*streaming* each consumed file once in window-sized chunks that pre-warm
+the very blocks extract reads next, so each source byte is read from
+disk at most once; per-atom results are written as soon as they
+consolidate, keeping in-flight memory bounded by the worker count
+instead of the checkpoint size.
 
 Conversion is crash-consistent and resumable: the source tag must be
 committed (its manifest is required, and every rank file is verified
@@ -41,7 +34,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import hashlib
 import os
 import re
 import time
@@ -53,7 +45,6 @@ from repro.analysis import lockwitness as _lockwitness
 from repro.analysis.diagnostics import LayoutLintError, LintReport, error
 from repro.analysis.interchange import preflight_convert
 from repro.analysis.provenance import (
-    ParamProvenance,
     ProvenanceAnalysis,
     SourceExtent,
     analyze_source,
@@ -66,13 +57,7 @@ from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.errors import PatternMatchError, UCPError, UCPFormatError
 from repro.core.intervals import numel as _numel
 from repro.core.metadata import UCPMetadata
-from repro.core.ops import (
-    _KIND_TO_FIELD,
-    ParamFragment,
-    extract,
-    strip_padding,
-    union,
-)
+from repro.core.ops import _KIND_TO_FIELD, strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
@@ -107,14 +92,14 @@ class ConversionReport:
     verified, not rewritten.  ``bytes_read`` / ``bytes_written`` are
     the source/destination store's real byte deltas for this run
     (headers, digest verification, and payload all included), so a
-    streamed conversion can *prove* it read less than the full source
+    conversion can *prove* it read less than the full source
     checkpoint.  ``cache_hits`` and ``peak_window_bytes`` come from the
-    streaming path's shared :class:`~repro.storage.rangeio.RangeReader`
-    (zero on the full-read path): cache hits count range requests that
-    reused digest-warmed or coalesced blocks, and the peak window bounds
-    the largest single disk read the run ever issued.
+    shared :class:`~repro.storage.rangeio.RangeReader`: cache hits count
+    range requests that reused digest-warmed or coalesced blocks, and
+    the peak window bounds the largest single disk read the run ever
+    issued.
 
-    Byte decomposition (streaming path): ``bytes_read`` splits into
+    Byte decomposition: ``bytes_read`` splits into
     ``header_bytes`` (manifest + job config + the header-only index
     pass), ``digest_bytes`` (aggregate whole-file verification — every
     touched file hashed once, warming the block cache), and whatever
@@ -127,10 +112,13 @@ class ConversionReport:
     whole files; keeping the two separate is what stops the metrics
     from contradicting each other.
 
-    Stage/syscall counters (streaming path): ``stage_seconds`` maps
-    ``lower`` / ``digest`` / ``read`` / ``assemble`` / ``write`` to
-    seconds *summed across worker threads* (stages overlap, so the sum
-    can exceed :attr:`total_seconds`); ``num_preads`` counts positioned
+    Timing: ``total_seconds`` is the measured wall-clock conversion
+    time.  ``stage_seconds`` maps ``plan`` / ``lower`` / ``finalize``
+    to wall seconds and ``digest`` / ``read`` / ``assemble`` /
+    ``write`` to seconds *summed across worker threads* (stages
+    overlap, so the sum can exceed ``total_seconds``).
+
+    Syscall counters: ``num_preads`` counts positioned
     reads issued to the store, ``num_batches`` the batched
     ``read_ranges`` calls they were amortized into, and
     ``ranges_coalesced`` how many planned ranges were merged away by
@@ -141,9 +129,7 @@ class ConversionReport:
     num_files: int
     num_params: int
     atom_bytes: int
-    extract_seconds: float
-    union_seconds: float
-    write_seconds: float
+    total_seconds: float
     simulated_read_s: float
     simulated_write_s: float
     num_reused: int = 0
@@ -151,7 +137,6 @@ class ConversionReport:
     bytes_written: int = 0
     cache_hits: int = 0
     peak_window_bytes: int = 0
-    streamed: bool = False
     num_preads: int = 0
     num_batches: int = 0
     ranges_coalesced: int = 0
@@ -159,11 +144,6 @@ class ConversionReport:
     digest_bytes: int = 0
     planned_state_bytes: int = 0
     stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock conversion time."""
-        return self.extract_seconds + self.union_seconds + self.write_seconds
 
 
 def _optim_files(store: ObjectStore, tag: str) -> List[str]:
@@ -196,29 +176,6 @@ def _map_maybe_parallel(fn, items, workers: int):
     return [fn(item) for item in items]
 
 
-@dataclasses.dataclass(frozen=True)
-class ReadSlice:
-    """One pread of a parameter read plan (the expanded, row form).
-
-    ``length`` *elements* starting at element ``file_start`` of the
-    flat array ``field`` inside source file ``file`` land at
-    consolidated elements ``[full_start, full_start + length)``.  The
-    field names the fp32 array; the converter substitutes the sibling
-    ``exp_avg``/``exp_avg_sq`` arrays per state kind — provenance is
-    kind-uniform because all three flat buffers share one segment map.
-
-    Plans are carried in the columnar :class:`SliceBlock` form;
-    :meth:`SliceBlock.slices` expands back to this record for
-    explain/debug output and tests.
-    """
-
-    full_start: int
-    length: int
-    file: str
-    field: str
-    file_start: int
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SliceBlock:
     """All slices of one plan targeting one ``(file, field)``, columnar.
@@ -241,34 +198,14 @@ class SliceBlock:
     full_starts: np.ndarray
 
     @property
-    def num_slices(self) -> int:
-        """Row count."""
-        return int(self.lengths.size)
-
-    @property
     def planned_elements(self) -> int:
         """Total elements the block reads (per state kind)."""
         return int(self.lengths.sum())
 
-    def slices(self) -> Tuple[ReadSlice, ...]:
-        """The rows expanded into per-slice records."""
-        return tuple(
-            ReadSlice(
-                full_start=int(fu),
-                length=int(ln),
-                file=self.file,
-                field=self.field,
-                file_start=int(fs),
-            )
-            for fu, ln, fs in zip(
-                self.full_starts, self.lengths, self.file_starts
-            )
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ParamReadPlan:
-    """Everything the streaming converter reads for one parameter.
+    """Everything the converter reads for one parameter.
 
     ``primary`` covers the selected copies (what ``union`` consumes);
     ``copies`` the non-selected mp-coordinate replicas the pattern
@@ -306,55 +243,12 @@ def _data_bounds(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted data intervals as ``(d_lo, d_hi)`` index arrays.
 
-    Hoisted out of :func:`_clip_extents` so one parameter's data
-    intervals are converted once and shared across its primary part and
+    Computed once per parameter and shared across its primary part and
     every replica copy (they clip against the same intervals).
     """
     d_lo = np.fromiter((d[0] for d in data), np.int64, len(data))
     d_hi = np.fromiter((d[1] for d in data), np.int64, len(data))
     return d_lo, d_hi
-
-
-def _clip_extents(
-    extents: Sequence[SourceExtent],
-    data: Sequence[Tuple[int, int]],
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[SliceBlock, ...]:
-    """Intersect provenance extents with the non-padding data intervals.
-
-    Vectorized lowering: for E extents against D sorted disjoint data
-    intervals, two ``searchsorted`` calls locate each extent's window
-    of overlapping intervals and one repeat/arange expansion
-    materializes every (extent × interval) intersection at once — no
-    per-slice Python loop, so lowering costs O(E log D) plus O(slices)
-    numpy work however fragmented the layout is.  ``bounds`` optionally
-    carries a precomputed :func:`_data_bounds` of ``data``.
-    """
-    if not extents or not data:
-        return ()
-    n_ext = len(extents)
-    e_lo = np.fromiter((e.full_start for e in extents), np.int64, n_ext)
-    e_hi = np.fromiter((e.full_end for e in extents), np.int64, n_ext)
-    f0 = np.fromiter((e.file_start for e in extents), np.int64, n_ext)
-    d_lo, d_hi = bounds if bounds is not None else _data_bounds(data)
-    # extent e overlaps exactly the interval window [i0, i1): those with
-    # d_hi > e.full_start and d_lo < e.full_end
-    i0 = np.searchsorted(d_hi, e_lo, side="right")
-    i1 = np.searchsorted(d_lo, e_hi, side="left")
-    counts = np.maximum(i1 - i0, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return ()
-    ext = np.repeat(np.arange(n_ext), counts)
-    flat0 = np.cumsum(counts) - counts
-    ivl = np.repeat(i0, counts) + (np.arange(total) - np.repeat(flat0, counts))
-    lo = np.maximum(e_lo[ext], d_lo[ivl])
-    hi = np.minimum(e_hi[ext], d_hi[ivl])
-    keep = hi > lo
-    ext, lo, hi = ext[keep], lo[keep], hi[keep]
-    lengths = hi - lo
-    file_starts = f0[ext] + (lo - e_lo[ext])
-    return _build_blocks(extents, ext, file_starts, lengths, lo)
 
 
 def _build_blocks(
@@ -420,13 +314,16 @@ def _lower_batch(
 ) -> List[Tuple[SliceBlock, ...]]:
     """Clip many (extents, data, bounds) jobs in one vectorized pass.
 
-    Every job's extent and data intervals are shifted into a private
-    ``_GROUP_STRIDE``-wide window of one shared element space, so a
-    single ``searchsorted`` pair + repeat/arange expansion lowers the
-    whole conversion's plans at once — the per-call numpy dispatch
-    overhead that dominated per-parameter lowering is paid once, not
-    once per (parameter, replica) pair.  Row-for-row equivalent to
-    calling :func:`_clip_extents` per job.
+    Each job intersects provenance extents with the parameter's sorted,
+    disjoint non-padding data intervals (``bounds`` optionally carries
+    a precomputed :func:`_data_bounds` of ``data``).  Every job's extent
+    and data intervals are shifted into a private ``_GROUP_STRIDE``-wide
+    window of one shared element space, so a single ``searchsorted``
+    pair locates each extent's window of overlapping intervals and one
+    repeat/arange expansion materializes every (extent × interval)
+    intersection of the whole conversion at once — no per-slice Python
+    loop, and the numpy dispatch overhead is paid once, not once per
+    (parameter, replica) pair.
     """
     out: List[Tuple[SliceBlock, ...]] = [() for _ in jobs]
     live = [i for i, (ext, data, _) in enumerate(jobs) if ext and data]
@@ -516,8 +413,7 @@ def lower_read_plans(
         names: parameters to plan (default: all analyzed).
         verify_replicas: include replica reads for ``replicated_params``
             so the converter can bit-compare them; ``False`` plans the
-            primary copy only — the streaming path's concrete byte
-            saving over a full-read conversion.
+            primary copy only.
         patterns: per-parameter pattern overrides from the resolved
             UCP-language program — a custom program may e.g. reclassify
             a replicated norm as ``params_to_average``, which changes
@@ -580,7 +476,7 @@ def _index_entry(
     if np.dtype(node.dtype) != np.float32:
         raise UCPFormatError(
             f"{rel}: {kind!r} state behind {field!r} stored as "
-            f"{node.dtype}; streaming conversion requires float32 "
+            f"{node.dtype}; byte-range conversion requires float32 "
             f"(byte-exact) state arrays"
         )
     return node
@@ -590,7 +486,7 @@ DEFAULT_COALESCE_GAP = 64 << 10
 """Default plan-level coalescing gap (bytes).
 
 Slices of one (file, field) separated by at most this many unneeded
-bytes are fetched as one range.  On the standard path the gap bytes are
+bytes are fetched as one range.  Normally the gap bytes are
 already cache-resident (the digest pass hashed the whole file through
 the shared cache), so coalescing trades zero extra disk bytes for far
 fewer range requests; on a cold cache it trades at most the gap bytes
@@ -735,21 +631,6 @@ class _BlockGather:
             )
 
 
-def _digest_path(path: str) -> str:
-    """SHA-256 of one file, for the process-pool digest option.
-
-    Module-level (hence picklable) and dependency-free: worker
-    processes hash straight from the filesystem, bypassing the parent's
-    block cache — the caller re-charges the bytes to the source store's
-    accounting so ``bytes_read`` stays honest.
-    """
-    hasher = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(DEFAULT_WINDOW_BYTES), b""):
-            hasher.update(chunk)
-    return hasher.hexdigest()
-
-
 def _verify_source_commit(
     store: ObjectStore, tag: str, manifest: Dict, files: List[str]
 ) -> None:
@@ -872,14 +753,10 @@ def ucp_convert(
     src_store: Optional[ObjectStore] = None,
     dst_store: Optional[ObjectStore] = None,
     resume: bool = True,
-    provenance: bool = True,
     cluster=None,
-    streaming="auto",
     window_bytes: Optional[int] = None,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
     cache: Optional[BlockCache] = None,
     coalesce_gap: int = DEFAULT_COALESCE_GAP,
-    digest_pool: str = "thread",
 ) -> ConversionReport:
     """Convert a distributed checkpoint into UCP atom format.
 
@@ -889,7 +766,7 @@ def ucp_convert(
         tag: source tag; defaults to the checkpoint's ``latest``.
         program: UCP-language pattern program; defaults to the built-in
             program for the checkpoint's model family.
-        workers: thread count for the Extract/Union/write fan-out.
+        workers: thread count for the per-parameter fan-out.
             ``None`` (default) resolves CPU-aware to
             ``min(8, os.cpu_count())``; ``0``/``1`` run serial.  Results
             are deterministic regardless of the count or completion
@@ -902,57 +779,33 @@ def ucp_convert(
         dst_store: optional pre-built destination store.
         resume: reuse intact atoms left by a previous interrupted
             conversion of the same committed source.
-        provenance: run the byte-provenance theorems (coverage /
-            exclusivity / padding hygiene, UCP017-UCP022) over the
-            rank-file headers as part of the pre-flight (default on;
-            costs kilobytes of header IO).
         cluster: optional :class:`~repro.dist.cluster.Cluster` whose
             collective trace should bracket the conversion with
             ``convert:<tag>:enter``/``:commit`` barriers — the
             happens-before analyzer then proves the conversion's
             critical section does not overlap a concurrent save's.
-        streaming: ``"auto"`` (default) uses the planned byte-range
-            pipeline whenever the provenance pre-flight ran and proved
-            the source clean, and the legacy full-read path otherwise;
-            ``True`` forces streaming (building the provenance analysis
-            if need be, and failing loudly when its theorems do not
-            hold); ``False`` forces the full-read path.
-        window_bytes: streaming only — maximum bytes per disk read
-            (and per cached block); bounds in-flight buffer memory.
-            ``None`` (default) auto-sizes the window to the largest
-            touched source file (capped at
-            :data:`WINDOW_AUTO_CAP_BYTES`), so each file is digested
-            with one read and cached as one block — the zero-copy
-            resident-view fast path then serves every extract range as
-            a pure ``memoryview`` slice.  Pass an explicit value to pin
-            buffer memory on constrained hosts.
-        cache_bytes: streaming only — shared block-cache budget floor.
-            The effective budget auto-grows to the largest single read
-            plan's file working set (capped at
-            :data:`CACHE_AUTO_CAP_BYTES`), so the digest-verification
-            pass pre-warms every block Extract reads and each source
-            byte is read from disk once — still far under the
-            full-read path's footprint, which holds every touched file
-            deserialized at once.
-        cache: streaming only — a caller-provided :class:`BlockCache`
-            to use instead of a fresh one (``cache_bytes`` is then
-            ignored).  The cache is internally locked, so one instance
+        window_bytes: maximum bytes per disk read (and per cached
+            block); bounds in-flight buffer memory.  ``None`` (default)
+            auto-sizes the window to the largest touched source file
+            (capped at :data:`WINDOW_AUTO_CAP_BYTES`), so each file is
+            digested with one read and cached as one block — the
+            zero-copy resident-view fast path then serves every extract
+            range as a pure ``memoryview`` slice.  Pass an explicit
+            value to pin buffer memory on constrained hosts.
+        cache: a caller-provided :class:`BlockCache` to use instead of a
+            fresh one.  The cache is internally locked, so one instance
             may be shared across concurrent conversions and verifiers
-            (the multi-tenant hub shape).
-        coalesce_gap: streaming only — plan-level batching knob: slices
-            of one (file, field) separated by at most this many bytes
-            are fetched as one range (see
-            :data:`DEFAULT_COALESCE_GAP`).  ``0`` merges only
-            overlapping/adjacent slices.  Output is byte-identical at
-            any setting.
-        digest_pool: streaming only — ``"thread"`` (default) verifies
-            manifest digests on the shared worker pool, overlapped with
-            extract and pre-warming the block cache; ``"process"``
-            hashes files in a process pool instead — sidesteps the GIL
-            for the hash CPU, but loses the cache pre-warm, so extract
-            re-reads its planned bytes from disk (only worth evaluating
-            at large shard sizes; hashlib releases the GIL on large
-            updates, so threads usually win).
+            (the multi-tenant hub shape).  A fresh cache's budget is
+            :data:`~repro.storage.rangeio.DEFAULT_CACHE_BYTES`, grown to
+            the largest single read plan's file working set (capped at
+            :data:`CACHE_AUTO_CAP_BYTES`) so the digest-verification
+            pass pre-warms every block Extract reads and each source
+            byte is read from disk once.
+        coalesce_gap: plan-level batching knob: slices of one (file,
+            field) separated by at most this many bytes are fetched as
+            one range (see :data:`DEFAULT_COALESCE_GAP`).  ``0`` merges
+            only overlapping/adjacent slices.  Output is byte-identical
+            at any setting.
 
     Raises:
         CheckpointNotFoundError: missing directory or tag.
@@ -962,16 +815,11 @@ def ucp_convert(
             inconsistent source (e.g. rank files disagreeing on Adam
             hyperparameters).
         repro.analysis.diagnostics.LayoutLintError: the mandatory
-            static pre-flight found the source layout unsound or the
-            manifest structurally incomplete (a UCPFormatError
-            subclass; carries the individual rule-ID diagnostics).
+            static pre-flight found the source layout unsound, its
+            byte provenance unproven, or the manifest structurally
+            incomplete (a UCPFormatError subclass; carries the
+            individual rule-ID diagnostics).
     """
-    if streaming not in ("auto", True, False):
-        raise ValueError(f"streaming must be 'auto', True or False, got {streaming!r}")
-    if digest_pool not in ("thread", "process"):
-        raise ValueError(
-            f"digest_pool must be 'thread' or 'process', got {digest_pool!r}"
-        )
     if coalesce_gap < 0:
         raise ValueError(f"coalesce_gap must be >= 0, got {coalesce_gap}")
     workers = _resolve_workers(workers)
@@ -982,7 +830,6 @@ def ucp_convert(
         raise CheckpointNotFoundError(f"no tag {src_tag!r} under {ckpt_dir}")
     src_read0 = src_store.bytes_read
 
-    # --- Extract (parallel across rank files), verified vs manifest ---
     t0 = time.perf_counter()
     src_manifest = manifest_mod.require_manifest(src_store, src_tag)
     files = _optim_files(src_store, src_tag)
@@ -1000,19 +847,14 @@ def ucp_convert(
     source_cfg = ParallelConfig.from_dict(job_config["parallel_config"])
     optimizer_layout = job_config.get("optimizer_layout", "flat")
 
-    # the streaming pipeline is *gated on the provenance theorems*: only
-    # a source whose interval maps were proven sound (UCP017-UCP022) is
-    # converted from byte-range plans; otherwise the full-read path runs
-    use_streaming = streaming is True or (streaming == "auto" and provenance)
-    analysis: Optional[ProvenanceAnalysis] = None
-    if use_streaming:
-        analysis = analyze_source(
-            src_store, src_tag, model_cfg, source_cfg, optimizer_layout
-        )
-
-    # mandatory pre-flight: prove the source layout self-consistent and
-    # the commit manifest structurally complete before reading a single
-    # tensor — a doomed conversion is refused at header cost
+    # mandatory pre-flight: prove the source layout self-consistent, the
+    # commit manifest structurally complete, and the byte-provenance
+    # interval maps sound (UCP017-UCP022) before reading a single tensor
+    # — a doomed conversion is refused at header cost, and the read
+    # plans below are only ever lowered from proven maps
+    analysis = analyze_source(
+        src_store, src_tag, model_cfg, source_cfg, optimizer_layout
+    )
     preflight = preflight_convert(
         src_store,
         src_tag,
@@ -1020,16 +862,9 @@ def ucp_convert(
         model_cfg,
         source_cfg,
         optimizer_layout,
-        provenance=provenance,
-        analysis=analysis if provenance else None,
+        provenance=True,
+        analysis=analysis,
     )
-    if use_streaming and not provenance and not analysis.report.ok:
-        # explicit streaming=True with provenance gating disabled: the
-        # read plans would be lowered from maps the theorems reject
-        raise LayoutLintError(
-            analysis.report,
-            prefix=f"streaming conversion needs provenance-clean source {src_tag}",
-        )
     if not preflight.ok:
         # root-cause before reporting: a semantic lint finding on a
         # file that was modified after commit is tampering, not a bad
@@ -1054,42 +889,23 @@ def ucp_convert(
             model_cfg, expert_parallel=source_cfg.expert_parallel
         )
 
-    fragments: Dict[Tuple[str, str], List[ParamFragment]] = {}
+    # header/index pass only: the per-file tensor *index* carries every
+    # non-tensor field (adam, loss scaler, sharding, step) plus absolute
+    # payload offsets — no flat buffer is read here
+    trees = dict(zip(
+        files,
+        _map_maybe_parallel(src_store.load_index, files, workers),
+    ))
+    adam_hyper, loss_scaler = _check_cross_rank_consistency(
+        files, [trees[rel] for rel in files]
+    )
     shapes: Dict[str, Dict] = {}
     optimizer_step = 0
-    if use_streaming:
-        # header/index pass only: the per-file tensor *index* carries
-        # every non-tensor field (adam, loss scaler, sharding, step)
-        # plus absolute payload offsets — no flat buffer is read here
-        trees = dict(zip(
-            files,
-            _map_maybe_parallel(src_store.load_index, files, workers),
-        ))
-        adam_hyper, loss_scaler = _check_cross_rank_consistency(
-            files, [trees[rel] for rel in files]
-        )
-        for tree in trees.values():
-            optimizer_step = max(optimizer_step, int(tree["optimizer_step"]))
-            for name, saved_spec in tree["sharding"].items():
-                shapes[name] = saved_spec
-        names = sorted(analysis.params)
-    else:
-        def _load_rank_file(rel: str) -> Dict:
-            entry = manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
-            return manifest_mod.load_verified(src_store, rel, entry)
-
-        payloads = _map_maybe_parallel(_load_rank_file, files, workers)
-        adam_hyper, loss_scaler = _check_cross_rank_consistency(files, payloads)
-        for payload in payloads:
-            optimizer_step = max(optimizer_step, int(payload["optimizer_step"]))
-            for name, saved_spec in payload["sharding"].items():
-                shapes[name] = saved_spec
-            for fragment in extract(payload):
-                fragments.setdefault(
-                    (fragment.name, fragment.kind), []
-                ).append(fragment)
-        names = sorted({name for name, _ in fragments})
-    t1 = time.perf_counter()
+    for tree in trees.values():
+        optimizer_step = max(optimizer_step, int(tree["optimizer_step"]))
+        for name, saved_spec in tree["sharding"].items():
+            shapes[name] = saved_spec
+    names = sorted(analysis.params)
 
     # --- resolve specs through the UCP-language program ---
     specs: Dict[str, ShardSpec] = {}
@@ -1153,344 +969,253 @@ def ucp_convert(
                 reused[name] = meta
     fresh_names = [n for n in names if n not in reused]
 
-    cache_hits = 0
-    peak_window = 0
-    num_preads = 0
-    num_batches = 0
-    ranges_coalesced = 0
-    header_bytes = 0
-    digest_bytes = 0
-    planned_state_bytes = 0
+    # --- streamed Extract + Union + StripPadding + write, fused per
+    # parameter: lower the proven interval maps into read plans,
+    # digest-verify exactly the files those plans touch (the
+    # streamed hash warms the block cache the preads then hit), and
+    # fan the per-parameter pipeline out over the worker pool.  Each
+    # atom is written the moment it consolidates, so in-flight
+    # memory is bounded by workers x parameter size, not checkpoint
+    # size, and a crash mid-fan-out leaves only durable atoms for
+    # the resume gate to reuse.
+    header_bytes = src_store.bytes_read - src_read0
     stage_seconds: Dict[str, float] = {}
-    if use_streaming:
-        # --- streamed Extract + Union + StripPadding + write, fused per
-        # parameter: lower the proven interval maps into read plans,
-        # digest-verify exactly the files those plans touch (the
-        # streamed hash warms the block cache the preads then hit), and
-        # fan the per-parameter pipeline out over the worker pool.  Each
-        # atom is written the moment it consolidates, so in-flight
-        # memory is bounded by workers x parameter size, not checkpoint
-        # size, and a crash mid-fan-out leaves only durable atoms for
-        # the resume gate to reuse.
-        header_bytes = src_store.bytes_read - src_read0
-        t_lower = time.perf_counter()
-        plans = lower_read_plans(
-            analysis,
-            fresh_names,
-            verify_replicas=verify_replicas,
-            patterns={n: specs[n].pattern for n in fresh_names},
+    t_lower = time.perf_counter()
+    plans = lower_read_plans(
+        analysis,
+        fresh_names,
+        verify_replicas=verify_replicas,
+        patterns={n: specs[n].pattern for n in fresh_names},
+    )
+    stage_seconds["lower"] = time.perf_counter() - t_lower
+    touched = sorted({
+        rel for plan in plans.values() for rel in plan.files
+    })
+    sizes = {rel: src_store.size(rel) for rel in touched}
+    if window_bytes is None:
+        # one window per touched file: the digest pass reads (and
+        # caches) each file as a single block, and read_multi's
+        # resident-view fast path serves every extract range as a
+        # zero-copy slice of it
+        window_bytes = max(
+            DEFAULT_WINDOW_BYTES,
+            min(max(sizes.values(), default=0), WINDOW_AUTO_CAP_BYTES),
         )
-        stage_seconds["lower"] = time.perf_counter() - t_lower
-        touched = sorted({
-            rel for plan in plans.values() for rel in plan.files
-        })
-        sizes = {rel: src_store.size(rel) for rel in touched}
-        if window_bytes is None:
-            # one window per touched file: the digest pass reads (and
-            # caches) each file as a single block, and read_multi's
-            # resident-view fast path serves every extract range as a
-            # zero-copy slice of it
-            window_bytes = max(
-                DEFAULT_WINDOW_BYTES,
-                min(max(sizes.values(), default=0), WINDOW_AUTO_CAP_BYTES),
-            )
-        if cache is None:
-            # the digest pre-warm only pays off if a parameter's whole
-            # file working set stays resident while it extracts — grow
-            # the budget to the largest single plan's set (capped).
-            # This stays well under the full-read path's footprint,
-            # which holds every touched file deserialized at once.
-            need = max(
-                (
-                    sum(sizes[rel] for rel in plan.files)
-                    for plan in plans.values()
-                ),
-                default=0,
-            )
-            cache = BlockCache(
-                min(max(cache_bytes, need), CACHE_AUTO_CAP_BYTES)
-            )
-        reader = RangeReader(
-            src_store,
-            cache=cache,
-            window_bytes=window_bytes,
-            coalesce_gap=coalesce_gap,
-            parallel=max(1, workers),
+    if cache is None:
+        # the digest pre-warm only pays off if a parameter's whole
+        # file working set stays resident while it extracts — grow
+        # the budget to the largest single plan's set (capped)
+        need = max(
+            (
+                sum(sizes[rel] for rel in plan.files)
+                for plan in plans.values()
+            ),
+            default=0,
         )
-        verify_entries = {
-            rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
-            for rel in touched
-        }
-        digest_bytes = sum(sizes.values())
-        planned_state_bytes = (
-            sum(plans[n].planned_elements for n in fresh_names)
-            * np.dtype(np.float32).itemsize
-            * len(STATE_KINDS)
+        cache = BlockCache(
+            min(max(DEFAULT_CACHE_BYTES, need), CACHE_AUTO_CAP_BYTES)
         )
-        gap_elems = coalesce_gap // np.dtype(np.float32).itemsize
+    reader = RangeReader(
+        src_store,
+        cache=cache,
+        window_bytes=window_bytes,
+        coalesce_gap=coalesce_gap,
+        parallel=max(1, workers),
+    )
+    verify_entries = {
+        rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
+        for rel in touched
+    }
+    digest_bytes = sum(sizes.values())
+    planned_state_bytes = (
+        sum(plans[n].planned_elements for n in fresh_names)
+        * np.dtype(np.float32).itemsize
+        * len(STATE_KINDS)
+    )
+    gap_elems = coalesce_gap // np.dtype(np.float32).itemsize
 
-        ppool = (
-            concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(max(1, workers), max(1, len(touched)))
-            )
-            if digest_pool == "process" and touched
-            else None
-        )
+    def _verify_file(rel: str) -> float:
+        t_v = time.perf_counter()
+        manifest_mod.verify_streaming(reader, rel, verify_entries[rel])
+        return time.perf_counter() - t_v
 
-        def _verify_file(rel: str) -> float:
-            t_v = time.perf_counter()
-            if ppool is not None:
-                entry = verify_entries[rel]
-                if entry is not None:
-                    nbytes = reader.size(rel)
-                    digest = ppool.submit(
-                        _digest_path, str(src_store.base / rel)
-                    ).result()
-                    if nbytes != int(entry["nbytes"]) or (
-                        digest != entry["sha256"]
-                    ):
-                        raise CheckpointIntegrityError(
-                            f"{rel}: size or content digest mismatch vs "
-                            f"the commit manifest — the object was "
-                            f"modified after commit"
-                        )
-            else:
-                manifest_mod.verify_streaming(
-                    reader, rel, verify_entries[rel]
-                )
-            return time.perf_counter() - t_v
+    # per-file digest memo: the first parameter task that needs a
+    # file hashes it; everyone else waits on its future.  Digest and
+    # extract overlap — a worker verifies one file while its peers
+    # extract from already-verified ones — instead of the old
+    # verify-everything barrier in front of the fan-out.
+    digest_guard = _lockwitness.make_lock("ucp_convert._digest_guard")
+    digest_once: Dict[str, concurrent.futures.Future] = {}  # guarded-by: digest_guard
 
-        # per-file digest memo: the first parameter task that needs a
-        # file hashes it; everyone else waits on its future.  Digest and
-        # extract overlap — a worker verifies one file while its peers
-        # extract from already-verified ones — instead of the old
-        # verify-everything barrier in front of the fan-out.
-        digest_guard = _lockwitness.make_lock("ucp_convert._digest_guard")
-        digest_once: Dict[str, concurrent.futures.Future] = {}  # guarded-by: digest_guard
+    def _await_digests(rels: Tuple[str, ...]) -> None:
+        # claim every still-unclaimed file first, then hash the
+        # claims, then wait: a worker never blocks on a peer's
+        # in-flight digest while it could be hashing another file
+        # itself, so concurrent tasks fan out across files instead
+        # of convoying behind the first one
+        futs = []
+        owned = []
+        for rel in rels:
+            with digest_guard:
+                fut = digest_once.get(rel)
+                if fut is None:
+                    fut = concurrent.futures.Future()
+                    digest_once[rel] = fut
+                    owned.append((rel, fut))
+            futs.append(fut)
+        for rel, fut in owned:
+            try:
+                fut.set_result(_verify_file(rel))
+            except BaseException as exc:
+                fut.set_exception(exc)
+                raise
+        for fut in futs:
+            fut.result()
 
-        def _await_digests(rels: Tuple[str, ...]) -> None:
-            # claim every still-unclaimed file first, then hash the
-            # claims, then wait: a worker never blocks on a peer's
-            # in-flight digest while it could be hashing another file
-            # itself, so concurrent tasks fan out across files instead
-            # of convoying behind the first one
-            futs = []
-            owned = []
-            for rel in rels:
-                with digest_guard:
-                    fut = digest_once.get(rel)
-                    if fut is None:
-                        fut = concurrent.futures.Future()
-                        digest_once[rel] = fut
-                        owned.append((rel, fut))
-                futs.append(fut)
-            for rel, fut in owned:
-                try:
-                    fut.set_result(_verify_file(rel))
-                except BaseException as exc:
-                    fut.set_exception(exc)
-                    raise
-            for fut in futs:
-                fut.result()
+    # (file, field, kind) -> TensorIndexEntry memo shared across the
+    # fan-out; a racing double-compute stores the same immutable
+    # entry, so the unsynchronized dict is a benign CPython race
+    entry_cache: Dict[Tuple[str, str, str], TensorIndexEntry] = {}
 
-        # (file, field, kind) -> TensorIndexEntry memo shared across the
-        # fan-out; a racing double-compute stores the same immutable
-        # entry, so the unsynchronized dict is a benign CPython race
-        entry_cache: Dict[Tuple[str, str, str], TensorIndexEntry] = {}
+    def consolidate(name: str) -> Tuple[str, int, Dict, Dict]:
+        plan = plans[name]
+        _await_digests(plan.files)
+        spec = specs[name]
+        full_numel = _numel(spec.logical_shape)
+        stats = {"read": 0.0, "coalesced": 0}
+        gathers: Dict[int, _BlockGather] = {}
+        t_task = time.perf_counter()
 
-        def consolidate_stream(name: str) -> Tuple[str, int, Dict, Dict]:
-            plan = plans[name]
-            _await_digests(plan.files)
-            spec = specs[name]
-            full_numel = _numel(spec.logical_shape)
-            stats = {"read": 0.0, "coalesced": 0}
-            gathers: Dict[int, _BlockGather] = {}
-            t_task = time.perf_counter()
+        def materialize_part(
+            blocks: Tuple[SliceBlock, ...]
+        ) -> Dict[str, np.ndarray]:
+            """All three state arrays of one plan part at once.
 
-            def materialize_part(
-                blocks: Tuple[SliceBlock, ...]
-            ) -> Dict[str, np.ndarray]:
-                """All three state arrays of one plan part at once.
-
-                One ``read_multi`` per touched file carries the spans of
-                every (field, state kind) pair together — the three flat
-                state buffers live in the same file, so batching them
-                amortizes the per-call range bookkeeping 3× on top of
-                the span coalescing itself.
-                """
-                # np.empty, not zeros: the UCP017 coverage theorem the
-                # pipeline is gated on proves the plan writes every
-                # data element, and strip_padding drops the rest before
-                # anything escapes
-                arrs = {
-                    kind: np.empty(full_numel, dtype=np.float32)
-                    for kind in STATE_KINDS
-                }
-                by_file: Dict[str, List[SliceBlock]] = {}
-                for block in blocks:
-                    by_file.setdefault(block.file, []).append(block)
-                for rel in sorted(by_file):
-                    ranges: List[Tuple[int, int]] = []
-                    segs: List[Tuple[str, _BlockGather]] = []
-                    for block in by_file[rel]:
-                        gather = gathers.get(id(block))
-                        if gather is None:
-                            gather = _BlockGather(block, gap_elems)
-                            gathers[id(block)] = gather
-                        for kind in STATE_KINDS:
-                            ekey = (rel, block.field, kind)
-                            entry = entry_cache.get(ekey)
-                            if entry is None:
-                                entry = _index_entry(
-                                    trees[rel], block.field, kind, rel
-                                )
-                                entry_cache[ekey] = entry
-                            ranges.extend(gather.byte_ranges(entry))
-                            segs.append((kind, gather))
-                            stats["coalesced"] += (
-                                gather.n_slices - gather.n_spans
+            One ``read_multi`` per touched file carries the spans of
+            every (field, state kind) pair together — the three flat
+            state buffers live in the same file, so batching them
+            amortizes the per-call range bookkeeping 3× on top of
+            the span coalescing itself.
+            """
+            # np.empty, not zeros: the UCP017 coverage theorem the
+            # pipeline is gated on proves the plan writes every
+            # data element, and strip_padding drops the rest before
+            # anything escapes
+            arrs = {
+                kind: np.empty(full_numel, dtype=np.float32)
+                for kind in STATE_KINDS
+            }
+            by_file: Dict[str, List[SliceBlock]] = {}
+            for block in blocks:
+                by_file.setdefault(block.file, []).append(block)
+            for rel in sorted(by_file):
+                ranges: List[Tuple[int, int]] = []
+                segs: List[Tuple[str, _BlockGather]] = []
+                for block in by_file[rel]:
+                    gather = gathers.get(id(block))
+                    if gather is None:
+                        gather = _BlockGather(block, gap_elems)
+                        gathers[id(block)] = gather
+                    for kind in STATE_KINDS:
+                        ekey = (rel, block.field, kind)
+                        entry = entry_cache.get(ekey)
+                        if entry is None:
+                            entry = _index_entry(
+                                trees[rel], block.field, kind, rel
                             )
-                    t_r = time.perf_counter()
-                    bufs = reader.read_multi(rel, ranges)
-                    stats["read"] += time.perf_counter() - t_r
-                    cursor = 0
-                    for kind, gather in segs:
-                        gather.scatter(
-                            arrs[kind],
-                            bufs[cursor:cursor + gather.n_spans],
+                            entry_cache[ekey] = entry
+                        ranges.extend(gather.byte_ranges(entry))
+                        segs.append((kind, gather))
+                        stats["coalesced"] += (
+                            gather.n_slices - gather.n_spans
                         )
-                        cursor += gather.n_spans
-                return arrs
-
-            primary_arrs = materialize_part(plan.primary)
-            copy_arrs = (
-                [materialize_part(bs) for _, bs in plan.copies]
-                if plan.copies else []
-            )
-            states = {}
-            for kind in STATE_KINDS:
-                primary = primary_arrs[kind]
-                if plan.pattern == PATTERN_TO_AVERAGE and copy_arrs:
-                    merged = average_param_copies(
-                        [primary] + [arrs[kind] for arrs in copy_arrs]
+                t_r = time.perf_counter()
+                bufs = reader.read_multi(rel, ranges)
+                stats["read"] += time.perf_counter() - t_r
+                cursor = 0
+                for kind, gather in segs:
+                    gather.scatter(
+                        arrs[kind],
+                        bufs[cursor:cursor + gather.n_spans],
                     )
-                elif plan.pattern == PATTERN_REPLICATED and copy_arrs:
-                    for arrs in copy_arrs:
-                        if not np.array_equal(primary, arrs[kind]):
-                            raise PatternMatchError(
-                                f"{name!r} is replicated_params but rank "
-                                f"copies differ; use params_to_average for "
-                                f"independently updated parameters"
-                            )
-                    merged = primary
-                else:
-                    merged = primary
-                states[kind] = strip_padding(
-                    merged.reshape(spec.logical_shape), spec
+                    cursor += gather.n_spans
+            return arrs
+
+        primary_arrs = materialize_part(plan.primary)
+        copy_arrs = (
+            [materialize_part(bs) for _, bs in plan.copies]
+            if plan.copies else []
+        )
+        states = {}
+        for kind in STATE_KINDS:
+            primary = primary_arrs[kind]
+            if plan.pattern == PATTERN_TO_AVERAGE and copy_arrs:
+                merged = average_param_copies(
+                    [primary] + [arrs[kind] for arrs in copy_arrs]
                 )
-            assemble_s = time.perf_counter() - t_task - stats["read"]
-            atom = AtomCheckpoint(
-                name=name, states=states, spec=spec.to_dict()
+            elif plan.pattern == PATTERN_REPLICATED and copy_arrs:
+                for arrs in copy_arrs:
+                    if not np.array_equal(primary, arrs[kind]):
+                        raise PatternMatchError(
+                            f"{name!r} is replicated_params but rank "
+                            f"copies differ; use params_to_average for "
+                            f"independently updated parameters"
+                        )
+                merged = primary
+            else:
+                merged = primary
+            states[kind] = strip_padding(
+                merged.reshape(spec.logical_shape), spec
             )
-            t_w = time.perf_counter()
-            nbytes = atom_store.write(atom)
-            task_stats = {
-                "read": stats["read"],
-                "assemble": assemble_s,
-                "write": time.perf_counter() - t_w,
-                "coalesced": stats["coalesced"],
-            }
-            return name, nbytes, {
-                "shape": list(atom.shape),
-                "spec": atom.spec,
-                "kinds": sorted(atom.states),
-            }, task_stats
-
-        # everything since t0 that is not lowering — manifest +
-        # provenance analysis + pre-flight lints + the header/index
-        # pass — is the planning stage; together with the per-task
-        # stage sums below the stage map accounts for the whole wall
-        stage_seconds["plan"] = (
-            time.perf_counter() - t0 - stage_seconds["lower"]
+        assemble_s = time.perf_counter() - t_task - stats["read"]
+        atom = AtomCheckpoint(
+            name=name, states=states, spec=spec.to_dict()
         )
-        # per-file read scheduler: fan parameters out grouped by the
-        # source files their plans touch, so each file's cache-resident
-        # blocks are fully consumed before the working set moves to the
-        # next file group.  Without this, name-ordered tasks bounce
-        # between pp-stage file sets larger than the cache budget and
-        # every bounce re-reads evicted blocks from disk.  Output is
-        # order-independent (atoms are keyed by name), so scheduling is
-        # free to chase locality.
-        fan_order = sorted(
-            fresh_names, key=lambda n: (plans[n].files, n)
-        )
-        try:
-            results = _map_maybe_parallel(
-                consolidate_stream, fan_order, workers
-            )
-        finally:
-            if ppool is not None:
-                ppool.shutdown()
-        if ppool is not None:
-            # worker processes hashed straight from disk, bypassing the
-            # parent store's accounting; re-charge those bytes so
-            # bytes_read stays an honest disk-read total
-            src_store.charge_external_read(
-                sum(
-                    reader.size(rel)
-                    for rel in touched
-                    if verify_entries[rel] is not None
-                ),
-                parallel=max(1, workers),
-            )
-        t2 = time.perf_counter()
-        atom_bytes = sum(nbytes for _, nbytes, _, _ in results)
-        fresh_entries = {name: entry for name, _, entry, _ in results}
-        stage_seconds["digest"] = sum(
-            f.result() for f in digest_once.values()
-        )
-        stage_seconds["read"] = sum(s["read"] for *_, s in results)
-        stage_seconds["assemble"] = sum(s["assemble"] for *_, s in results)
-        stage_seconds["write"] = sum(s["write"] for *_, s in results)
-        cache_hits = reader.cache_hits
-        peak_window = reader.peak_window_bytes
-        num_preads = reader.num_preads
-        num_batches = reader.num_batches
-        ranges_coalesced = reader.ranges_coalesced + sum(
-            s["coalesced"] for *_, s in results
-        )
-    else:
-        # --- Union + StripPadding (parallel across parameters) ---
-        def consolidate(name: str) -> AtomCheckpoint:
-            states = {}
-            for kind in STATE_KINDS:
-                parts = fragments.get((name, kind))
-                if not parts:
-                    raise UCPFormatError(f"no {kind} fragments for {name!r}")
-                merged = union(
-                    parts, specs[name], source_cfg.tp,
-                    verify_replicas=verify_replicas,
-                )
-                states[kind] = strip_padding(merged, specs[name])
-            return AtomCheckpoint(
-                name=name, states=states, spec=specs[name].to_dict()
-            )
-
-        atoms = _map_maybe_parallel(consolidate, fresh_names, workers)
-        t2 = time.perf_counter()
-
-        # --- write atoms, then metadata: ucp_meta.npt is the
-        # destination's commit point, written only after every atom is
-        # durable ---
-        atom_bytes = sum(_map_maybe_parallel(atom_store.write, atoms, workers))
-        fresh_entries = {
-            atom.name: {
-                "shape": list(atom.shape),
-                "spec": atom.spec,
-                "kinds": sorted(atom.states),
-            }
-            for atom in atoms
+        t_w = time.perf_counter()
+        nbytes = atom_store.write(atom)
+        task_stats = {
+            "read": stats["read"],
+            "assemble": assemble_s,
+            "write": time.perf_counter() - t_w,
+            "coalesced": stats["coalesced"],
         }
+        return name, nbytes, {
+            "shape": list(atom.shape),
+            "spec": atom.spec,
+            "kinds": sorted(atom.states),
+        }, task_stats
+
+    # everything since t0 that is not lowering — manifest +
+    # provenance analysis + pre-flight lints + the header/index
+    # pass — is the planning stage; together with the per-task
+    # stage sums below the stage map accounts for the whole wall
+    stage_seconds["plan"] = (
+        time.perf_counter() - t0 - stage_seconds["lower"]
+    )
+    # per-file read scheduler: fan parameters out grouped by the
+    # source files their plans touch, so each file's cache-resident
+    # blocks are fully consumed before the working set moves to the
+    # next file group.  Without this, name-ordered tasks bounce
+    # between pp-stage file sets larger than the cache budget and
+    # every bounce re-reads evicted blocks from disk.  Output is
+    # order-independent (atoms are keyed by name), so scheduling is
+    # free to chase locality.
+    fan_order = sorted(
+        fresh_names, key=lambda n: (plans[n].files, n)
+    )
+    results = _map_maybe_parallel(consolidate, fan_order, workers)
+    t2 = time.perf_counter()
+    atom_bytes = sum(nbytes for _, nbytes, _, _ in results)
+    fresh_entries = {name: entry for name, _, entry, _ in results}
+    stage_seconds["digest"] = sum(
+        f.result() for f in digest_once.values()
+    )
+    stage_seconds["read"] = sum(s["read"] for *_, s in results)
+    stage_seconds["assemble"] = sum(s["assemble"] for *_, s in results)
+    stage_seconds["write"] = sum(s["write"] for *_, s in results)
+    ranges_coalesced = reader.ranges_coalesced + sum(
+        s["coalesced"] for *_, s in results
+    )
 
     # params in canonical name order so resumed and clean conversions
     # produce byte-identical metadata
@@ -1527,31 +1252,23 @@ def ucp_convert(
         cluster.barrier(f"convert:{src_tag}:commit")
     t3 = time.perf_counter()
 
-    if use_streaming:
-        # target manifest/metadata commit after the fan-out
-        stage_seconds["finalize"] = t3 - t2
-    else:
-        stage_seconds = {
-            "extract": t1 - t0, "union": t2 - t1, "write": t3 - t2,
-        }
+    # target manifest/metadata commit after the fan-out
+    stage_seconds["finalize"] = t3 - t2
     return ConversionReport(
         source_tag=src_tag,
         num_files=len(files),
         num_params=len(params),
         atom_bytes=atom_bytes,
-        extract_seconds=t1 - t0,
-        union_seconds=t2 - t1,
-        write_seconds=t3 - t2,
+        total_seconds=t3 - t0,
         simulated_read_s=src_store.simulated_read_s,
         simulated_write_s=dst_store.simulated_write_s,
         num_reused=len(reused),
         bytes_read=src_store.bytes_read - src_read0,
         bytes_written=dst_store.bytes_written - dst_written0,
-        cache_hits=cache_hits,
-        peak_window_bytes=peak_window,
-        streamed=use_streaming,
-        num_preads=num_preads,
-        num_batches=num_batches,
+        cache_hits=reader.cache_hits,
+        peak_window_bytes=reader.peak_window_bytes,
+        num_preads=reader.num_preads,
+        num_batches=reader.num_batches,
         ranges_coalesced=ranges_coalesced,
         header_bytes=header_bytes,
         digest_bytes=digest_bytes,

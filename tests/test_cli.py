@@ -67,6 +67,15 @@ class TestConvert:
         code = main(["convert", ckpt, str(tmp / "u"), "--tag", "global_step99"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag", [["--no-stream"], ["--digest-pool", "process"]]
+    )
+    def test_removed_pipeline_flags_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", str(tmp_path / "c"), str(tmp_path / "u")] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_downsize_plan(self, checkpoint, capsys):

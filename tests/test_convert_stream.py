@@ -1,11 +1,13 @@
 """Streaming byte-range conversion and sliced loading.
 
-The streamed pipeline (read plans lowered from provenance interval
-maps, fanned over a thread pool) must be *byte-identical* to the
-legacy full-read path while reading strictly fewer source bytes, and
-the sliced load path must reproduce the same engine state while
-reading strictly fewer atom bytes.  A crash mid-fan-out must resume
-reusing exactly the atoms that committed.
+The conversion pipeline (read plans lowered from provenance interval
+maps, fanned over a thread pool) must write atoms *byte-identical* to
+the whole-file reference conversion (:func:`full_read_convert`) and
+the same metadata it derives from whole-file loads, while reading
+strictly fewer source bytes than the checkpoint holds; the sliced load
+path must reproduce the same engine state while reading strictly fewer
+atom bytes.  A crash mid-fan-out must resume reusing exactly the atoms
+that committed.
 """
 
 import numpy as np
@@ -16,11 +18,12 @@ from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.atom import AtomStore
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
+from repro.core.metadata import UCPMetadata
 from repro.dist.topology import ParallelConfig
 from repro.storage.faults import CrashAtWrite, InjectedCrash
 from repro.storage.store import ObjectStore
 
-from tests.helpers import make_engine
+from tests.helpers import full_read_convert, make_engine
 
 
 def dir_digests(root, sub="."):
@@ -66,30 +69,45 @@ def moe_checkpoint(tmp_path_factory):
     return engine, ckpt_dir
 
 
+def assert_matches_full_read(ckpt_dir, tmp_path):
+    """``ucp_convert`` == the whole-file reference conversion: atoms
+    digest-for-digest, and the metadata the index pass derived equals
+    what the reference read from whole-file loads."""
+    full_dir = str(tmp_path / "full")
+    stream_dir = str(tmp_path / "stream")
+    want = full_read_convert(ckpt_dir, full_dir).metadata
+    report = ucp_convert(ckpt_dir, stream_dir)
+    assert dir_digests(stream_dir, "atoms") == dir_digests(full_dir, "atoms")
+    got = UCPMetadata.load(ObjectStore(stream_dir))
+    assert report.num_params == len(want.params)
+    assert got.optimizer_step == want.optimizer_step
+    assert got.adam == want.adam
+    assert got.loss_scaler == want.loss_scaler
+    assert {
+        name: (p["shape"], p["spec"]) for name, p in got.params.items()
+    } == {name: (p["shape"], p["spec"]) for name, p in want.params.items()}
+    assert got == want
+
+
 class TestStreamedByteIdentity:
     def test_streamed_atoms_byte_identical_tp_change(
         self, tp4_checkpoint, tmp_path
     ):
-        """Streamed TP=4 source conversion == full-read conversion,
-        digest-for-digest across the whole UCP directory."""
         _, ckpt_dir = tp4_checkpoint
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        full = ucp_convert(ckpt_dir, full_dir, streaming=False)
-        streamed = ucp_convert(ckpt_dir, stream_dir)
-        assert full.streamed is False
-        assert streamed.streamed is True
-        assert streamed.num_params == full.num_params
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        assert_matches_full_read(ckpt_dir, tmp_path)
+
+    def test_streamed_atoms_byte_identical_pipeline_parallel(self, tmp_path):
+        engine = make_engine(
+            parallel=ParallelConfig(tp=2, pp=2, dp=2), seed=5
+        )
+        engine.train(2)
+        ckpt_dir = str(tmp_path / "ckpt")
+        engine.save_checkpoint(ckpt_dir)
+        assert_matches_full_read(ckpt_dir, tmp_path)
 
     def test_streamed_atoms_byte_identical_moe(self, moe_checkpoint, tmp_path):
         _, ckpt_dir = moe_checkpoint
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        ucp_convert(ckpt_dir, full_dir, streaming=False)
-        report = ucp_convert(ckpt_dir, stream_dir)
-        assert report.streamed is True
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        assert_matches_full_read(ckpt_dir, tmp_path)
 
     def test_streamed_identical_under_per_param_layout(self, tmp_path):
         engine = make_engine(
@@ -100,12 +118,7 @@ class TestStreamedByteIdentity:
         save_distributed_checkpoint(
             engine, ckpt_dir, optimizer_layout="per_param"
         )
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        ucp_convert(ckpt_dir, full_dir, streaming=False)
-        report = ucp_convert(ckpt_dir, stream_dir)
-        assert report.streamed is True
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        assert_matches_full_read(ckpt_dir, tmp_path)
 
     def test_worker_count_does_not_change_bytes(self, tp4_checkpoint, tmp_path):
         _, ckpt_dir = tp4_checkpoint
@@ -168,23 +181,14 @@ class TestConversionKnobs:
         assert dir_digests(tight_dir) == dir_digests(wide_dir)
         assert wide.num_preads <= tight.num_preads
 
-    def test_process_digest_pool_identical(self, tp4_checkpoint, tmp_path):
-        _, ckpt_dir = tp4_checkpoint
-        thread_dir = str(tmp_path / "thread")
-        proc_dir = str(tmp_path / "proc")
-        ucp_convert(ckpt_dir, thread_dir, workers=2)
-        report = ucp_convert(
-            ckpt_dir, proc_dir, workers=2, digest_pool="process"
-        )
-        assert report.streamed is True
-        assert dir_digests(proc_dir) == dir_digests(thread_dir)
-
     def test_invalid_knobs_rejected(self, tp4_checkpoint, tmp_path):
         _, ckpt_dir = tp4_checkpoint
         with pytest.raises(ValueError):
-            ucp_convert(ckpt_dir, str(tmp_path / "x"), digest_pool="gpu")
-        with pytest.raises(ValueError):
             ucp_convert(ckpt_dir, str(tmp_path / "y"), coalesce_gap=-1)
+        # one conversion pipeline: no knob selects another
+        for knob in ("streaming", "provenance", "cache_bytes", "digest_pool"):
+            with pytest.raises(TypeError):
+                ucp_convert(ckpt_dir, str(tmp_path / "z"), **{knob: 0})
 
     def test_stage_timings_and_counters_populated(
         self, tp4_checkpoint, tmp_path
@@ -205,10 +209,7 @@ class TestConversionKnobs:
             <= streamed.bytes_read
         )
         assert 0 < streamed.planned_state_bytes <= streamed.digest_bytes
-        full = ucp_convert(
-            ckpt_dir, str(tmp_path / "f"), streaming=False
-        )
-        assert set(full.stage_seconds) == {"extract", "union", "write"}
+        assert streamed.total_seconds > 0
 
     def test_window_auto_sizing_reads_whole_files(
         self, tp4_checkpoint, tmp_path
